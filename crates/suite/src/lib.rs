@@ -370,6 +370,24 @@ pub fn json_line(domain: Domain, out: &BenchOutcome) -> String {
     )
 }
 
+/// Strips the wall clocks of a [`json_line`] record — the
+/// `fe_ms`/`be_ms` fields and the `"timings_ms"` block — and keeps
+/// everything else, `"sched"` included. At one worker the scheduling
+/// counters are deterministic and pin the SAT search itself (assumption
+/// solves, retained learnt clauses), so this is the form the golden
+/// corpus under `tests/golden/` stores. (The ci.sh `strip_clocks` sed is
+/// the shell twin of this function; keep them in sync.)
+pub fn strip_timings(line: &str) -> String {
+    let mut s = line.to_string();
+    if let Some(i) = s.find("\"fe_ms\":") {
+        if let Some(j) = s[i..].find("\"unfiltered\"") {
+            s.replace_range(i..i + j, "");
+        }
+    }
+    remove_block(&mut s, "\"timings_ms\":{");
+    s
+}
+
 /// Strips the run-to-run volatile parts of a [`json_line`] record —
 /// the `fe_ms`/`be_ms` wall clocks, the `"sched"` block, and the
 /// `"timings_ms"` block — leaving the deterministic remainder that
@@ -377,27 +395,25 @@ pub fn json_line(domain: Domain, out: &BenchOutcome) -> String {
 /// (The ci.sh `strip_timings` sed is the shell twin of this function;
 /// keep them in sync.)
 pub fn strip_volatile(line: &str) -> String {
-    let mut s = line.to_string();
-    if let Some(i) = s.find("\"fe_ms\":") {
-        if let Some(j) = s[i..].find("\"unfiltered\"") {
-            s.replace_range(i..i + j, "");
-        }
-    }
-    // Both blocks are flat objects except for the per-worker array,
-    // which contains no `}`, so the first close brace ends the block.
-    for key in ["\"sched\":{", "\"timings_ms\":{"] {
-        if let Some(i) = s.find(key) {
-            let start = i + key.len();
-            if let Some(j) = s[start..].find('}') {
-                let mut end = start + j + 1;
-                if s.as_bytes().get(end) == Some(&b',') {
-                    end += 1;
-                }
-                s.replace_range(i..end, "");
-            }
-        }
-    }
+    let mut s = strip_timings(line);
+    remove_block(&mut s, "\"sched\":{");
     s
+}
+
+/// Removes the flat object `key…}` and its trailing comma. Both blocks
+/// stripped above are flat except for the per-worker array, which
+/// contains no `}`, so the first close brace ends the block.
+fn remove_block(s: &mut String, key: &str) {
+    if let Some(i) = s.find(key) {
+        let start = i + key.len();
+        if let Some(j) = s[start..].find('}') {
+            let mut end = start + j + 1;
+            if s.as_bytes().get(end) == Some(&b',') {
+                end += 1;
+            }
+            s.replace_range(i..end, "");
+        }
+    }
 }
 
 #[cfg(test)]

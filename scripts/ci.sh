@@ -58,6 +58,24 @@ cmp "$SYM_DIR/on.stripped" "$SYM_DIR/off.stripped"
 rm -rf "$SYM_DIR"
 echo "==> symmetry smoke OK"
 
+# Golden slice: the 1-worker --json records of the slice must match the
+# checked-in corpus byte for byte once the wall clocks are stripped. The
+# "sched" block stays: at one worker it pins the SAT search itself.
+# (Shell twin of `c4_suite::strip_timings` — keep the two in sync.)
+echo "==> table1 golden slice (--json vs tests/golden/table1.jsonl)"
+strip_clocks() {
+    sed -E 's/"fe_ms":[0-9.]+,"be_ms":[0-9.]+,//; s/"timings_ms":\{[^}]*\},//' "$1"
+}
+GOLD_DIR="$(mktemp -d)"
+./target/release/table1 --threads 1 --json "${SLICE[@]}" > "$GOLD_DIR/run.json"
+strip_clocks "$GOLD_DIR/run.json" > "$GOLD_DIR/run.stripped"
+GOLD_PATTERNS=()
+for name in "${SLICE[@]}"; do GOLD_PATTERNS+=(-e "\"name\":\"$name\","); done
+grep -F "${GOLD_PATTERNS[@]}" tests/golden/table1.jsonl > "$GOLD_DIR/want.stripped"
+diff "$GOLD_DIR/want.stripped" "$GOLD_DIR/run.stripped"
+rm -rf "$GOLD_DIR"
+echo "==> golden slice OK"
+
 # Peak-RSS guard on the heaviest row: the streaming enumeration must not
 # materialize the 88 620-unfolding Relatd run. The bound is generous
 # (the solver arenas legitimately grow) — it exists to catch a
