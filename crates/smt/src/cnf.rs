@@ -1,26 +1,30 @@
 //! Tseitin transformation: boolean term DAG → CNF, with an atom map for
 //! the lazy theory layer.
 //!
-//! The worker type, [`Tseitin`], is a *persistent* term→literal cache: it
+//! The worker type, [`Tseitin`], is a *persistent* term→literal table: it
 //! does not borrow the term context, so an incremental session can keep
 //! it alive across solve calls and only pay for subterms it has never
 //! encoded before. Definition clauses are full equivalences, hence valid
 //! independent of which assertions are currently active — they never need
 //! to be guarded or retracted.
 
-use std::collections::HashMap;
-
 use crate::sat::{Cnf, Lit, Var};
 use crate::term::{Context, Sort, TermData, TermId};
 
-/// Persistent Tseitin state: term → literal cache, collected theory
+/// Marks a term not encoded yet in [`Tseitin`]'s literal table.
+const NO_LIT: Lit = Lit(u32::MAX);
+
+/// Persistent Tseitin state: term → literal table, collected theory
 /// atoms, and the reserved "true" literal. Fresh variables and definition
 /// clauses are emitted into the `Cnf` passed to [`Tseitin::lit`]; an
 /// incremental caller seeds that `Cnf`'s `n_vars` with the solver's
 /// current variable count so numbering stays aligned.
+///
+/// The literal table is dense, indexed by `TermId` (term ids are small
+/// and contiguous per context), so a lookup is one bounds-checked load.
 #[derive(Debug, Default)]
 pub(crate) struct Tseitin {
-    map: HashMap<TermId, Lit>,
+    lits: Vec<Lit>,
     atoms: Vec<(TermId, Var)>,
     const_true: Option<Lit>,
 }
@@ -35,9 +39,18 @@ impl Tseitin {
         &self.atoms
     }
 
-    /// The term → literal cache.
-    pub fn map(&self) -> &HashMap<TermId, Lit> {
-        &self.map
+    /// The literal of an already-encoded term.
+    pub fn get(&self, t: TermId) -> Option<Lit> {
+        self.lits.get(t.index()).copied().filter(|&l| l != NO_LIT)
+    }
+
+    /// Every encoded term with its literal, by term id.
+    pub fn encoded(&self) -> impl Iterator<Item = (TermId, Lit)> + '_ {
+        self.lits
+            .iter()
+            .enumerate()
+            .filter(|&(_, &l)| l != NO_LIT)
+            .map(|(i, &l)| (TermId(i as u32), l))
     }
 
     fn true_lit(&mut self, cnf: &mut Cnf) -> Lit {
@@ -51,9 +64,11 @@ impl Tseitin {
     }
 
     /// The literal of boolean term `t`, encoding it (and any not-yet-seen
-    /// subterms) into `cnf` on first encounter.
+    /// subterms) into `cnf` on first encounter. Children are encoded
+    /// first, in order, then the node's own variable and definition
+    /// clauses, which read the children's literals back from the table.
     pub fn lit(&mut self, ctx: &Context, t: TermId, cnf: &mut Cnf) -> Lit {
-        if let Some(&l) = self.map.get(&t) {
+        if let Some(l) = self.get(t) {
             return l;
         }
         let l = match ctx.data(t) {
@@ -65,38 +80,32 @@ impl Tseitin {
                 self.atoms.push((t, v));
                 v.positive()
             }
-            TermData::Not(a) => {
-                let a = *a;
-                self.lit(ctx, a, cnf).negate()
-            }
+            TermData::Not(a) => self.lit(ctx, *a, cnf).negate(),
             TermData::And(xs) => {
-                let xs = xs.clone();
-                let lits: Vec<Lit> = xs.iter().map(|&x| self.lit(ctx, x, cnf)).collect();
-                let v = cnf.fresh().positive();
-                for &x in &lits {
-                    cnf.add([v.negate(), x]);
+                for &x in xs {
+                    self.lit(ctx, x, cnf);
                 }
-                let mut big: Vec<Lit> = lits.iter().map(|x| x.negate()).collect();
-                big.push(v);
-                cnf.add(big);
+                let v = cnf.fresh().positive();
+                for &x in xs {
+                    cnf.add([v.negate(), self.lits[x.index()]]);
+                }
+                cnf.add(xs.iter().map(|&x| self.lits[x.index()].negate()).chain([v]));
                 v
             }
             TermData::Or(xs) => {
-                let xs = xs.clone();
-                let lits: Vec<Lit> = xs.iter().map(|&x| self.lit(ctx, x, cnf)).collect();
-                let v = cnf.fresh().positive();
-                for &x in &lits {
-                    cnf.add([v, x.negate()]);
+                for &x in xs {
+                    self.lit(ctx, x, cnf);
                 }
-                let mut big: Vec<Lit> = lits.clone();
-                big.push(v.negate());
-                cnf.add(big);
+                let v = cnf.fresh().positive();
+                for &x in xs {
+                    cnf.add([v, self.lits[x.index()].negate()]);
+                }
+                cnf.add(xs.iter().map(|&x| self.lits[x.index()]).chain([v.negate()]));
                 v
             }
             TermData::Implies(a, b) => {
-                let (a, b) = (*a, *b);
-                let la = self.lit(ctx, a, cnf);
-                let lb = self.lit(ctx, b, cnf);
+                let la = self.lit(ctx, *a, cnf);
+                let lb = self.lit(ctx, *b, cnf);
                 let v = cnf.fresh().positive();
                 // v ↔ (¬a ∨ b)
                 cnf.add([v.negate(), la.negate(), lb]);
@@ -105,9 +114,8 @@ impl Tseitin {
                 v
             }
             TermData::Iff(a, b) => {
-                let (a, b) = (*a, *b);
-                let la = self.lit(ctx, a, cnf);
-                let lb = self.lit(ctx, b, cnf);
+                let la = self.lit(ctx, *a, cnf);
+                let lb = self.lit(ctx, *b, cnf);
                 let v = cnf.fresh().positive();
                 cnf.add([v.negate(), la.negate(), lb]);
                 cnf.add([v.negate(), la, lb.negate()]);
@@ -122,7 +130,10 @@ impl Tseitin {
                 panic!("non-boolean term in boolean position: {}", ctx.display(t))
             }
         };
-        self.map.insert(t, l);
+        if self.lits.len() <= t.index() {
+            self.lits.resize(ctx.term_count(), NO_LIT);
+        }
+        self.lits[t.index()] = l;
         l
     }
 }
@@ -194,13 +205,13 @@ mod tests {
         let mut ts = Tseitin::new();
         let mut cnf = Cnf::new();
         let l1 = ts.lit(&ctx, ab, &mut cnf);
-        let clauses_after_first = cnf.clauses.len();
+        let clauses_after_first = cnf.len();
         let vars_after_first = cnf.n_vars;
         // Re-encoding the same term (or a superterm sharing it) adds no
         // definition clauses for the cached part.
         let l2 = ts.lit(&ctx, ab, &mut cnf);
         assert_eq!(l1, l2);
-        assert_eq!(cnf.clauses.len(), clauses_after_first);
+        assert_eq!(cnf.len(), clauses_after_first);
         assert_eq!(cnf.n_vars, vars_after_first);
         let nab = ctx.not(ab);
         let or = ctx.or([nab, a]);

@@ -1,7 +1,10 @@
 //! Terms, sorts and the term context (hash-consed arena).
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::fmt;
+use std::hash::Hasher;
+
+use crate::fx::FxHasher;
 
 /// A sort (type) of a term.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -70,10 +73,107 @@ pub enum TermData {
 pub struct Context {
     terms: Vec<TermData>,
     sorts: Vec<Sort>,
-    cons: HashMap<TermData, TermId>,
-    var_names: Vec<(String, Sort)>,
+    cons: ConsTable,
+    /// Reusable child buffer of `and`/`or`: a lookup that finds an
+    /// existing node allocates nothing.
+    scratch: Vec<TermId>,
+    var_names: Vec<(Cow<'static, str>, Sort)>,
     func_sigs: Vec<(String, Vec<Sort>, Sort)>,
     sort_names: Vec<String>,
+}
+
+/// The hash-cons index over `Context::terms`: open addressing with
+/// linear probing, Fx-hashed. A slot holds the upper half of a term's
+/// hash and `TermId + 1` (0 marks an empty slot), so each `TermData` is
+/// stored once, in the arena, and compared there on a hash match.
+#[derive(Debug, Default)]
+struct ConsTable {
+    slots: Vec<(u32, u32)>,
+    len: usize,
+}
+
+impl ConsTable {
+    /// The term with this hash whose data satisfies `same`, or the empty
+    /// slot where it goes. Grows first, so the slot stays valid for one
+    /// [`ConsTable::fill`].
+    fn find(&mut self, hash: u32, same: impl Fn(TermId) -> bool) -> Result<TermId, usize> {
+        if 2 * (self.len + 1) > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            match self.slots[i] {
+                (_, 0) => return Err(i),
+                (h, id) if h == hash && same(TermId(id - 1)) => return Ok(TermId(id - 1)),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    fn fill(&mut self, slot: usize, hash: u32, id: TermId) {
+        self.slots[slot] = (hash, id.0 + 1);
+        self.len += 1;
+    }
+
+    fn grow(&mut self) {
+        let size = (2 * self.slots.len()).max(64);
+        let old = std::mem::replace(&mut self.slots, vec![(0, 0); size]);
+        let mask = size - 1;
+        for (h, id) in old.into_iter().filter(|&(_, id)| id != 0) {
+            let mut i = h as usize & mask;
+            while self.slots[i].1 != 0 {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = (h, id);
+        }
+    }
+}
+
+/// Kind tags of the hash-cons key, one per `TermData` variant.
+const TAG_BOOL: u32 = 0;
+const TAG_INT: u32 = 1;
+const TAG_VAR: u32 = 2;
+const TAG_APP: u32 = 3;
+const TAG_EQ: u32 = 4;
+const TAG_LE: u32 = 5;
+const TAG_LT: u32 = 6;
+const TAG_DISTINCT: u32 = 7;
+const TAG_NOT: u32 = 8;
+const TAG_AND: u32 = 9;
+const TAG_OR: u32 = 10;
+const TAG_IMPLIES: u32 = 11;
+const TAG_IFF: u32 = 12;
+
+/// The hash-cons key of a term — kind tag, scalar payload, children —
+/// Fx-hashed. The table keeps the upper 32 bits, which the final
+/// multiply mixes best.
+fn cons_hash(tag: u32, scalar: u64, children: &[TermId]) -> u32 {
+    let mut h = FxHasher::default();
+    h.write_u32(tag);
+    h.write_u64(scalar);
+    for c in children {
+        h.write_u32(c.0);
+    }
+    (h.finish() >> 32) as u32
+}
+
+fn term_hash(data: &TermData) -> u32 {
+    match data {
+        TermData::BoolConst(b) => cons_hash(TAG_BOOL, *b as u64, &[]),
+        TermData::IntConst(v) => cons_hash(TAG_INT, *v as u64, &[]),
+        TermData::Var(v) => cons_hash(TAG_VAR, v.0 as u64, &[]),
+        TermData::App(f, xs) => cons_hash(TAG_APP, f.0 as u64, xs),
+        TermData::Eq(a, b) => cons_hash(TAG_EQ, 0, &[*a, *b]),
+        TermData::Le(a, b) => cons_hash(TAG_LE, 0, &[*a, *b]),
+        TermData::Lt(a, b) => cons_hash(TAG_LT, 0, &[*a, *b]),
+        TermData::Distinct(xs) => cons_hash(TAG_DISTINCT, 0, xs),
+        TermData::Not(a) => cons_hash(TAG_NOT, 0, &[*a]),
+        TermData::And(xs) => cons_hash(TAG_AND, 0, xs),
+        TermData::Or(xs) => cons_hash(TAG_OR, 0, xs),
+        TermData::Implies(a, b) => cons_hash(TAG_IMPLIES, 0, &[*a, *b]),
+        TermData::Iff(a, b) => cons_hash(TAG_IFF, 0, &[*a, *b]),
+    }
 }
 
 impl Context {
@@ -90,7 +190,9 @@ impl Context {
     }
 
     /// Declares a fresh variable of the given sort and returns its term.
-    pub fn var(&mut self, name: impl Into<String>, sort: Sort) -> TermId {
+    /// The name only serves [`Context::display`]; a `&'static str` name
+    /// costs no allocation.
+    pub fn var(&mut self, name: impl Into<Cow<'static, str>>, sort: Sort) -> TermId {
         let id = VarId(self.var_names.len() as u32);
         self.var_names.push((name.into(), sort));
         self.intern(TermData::Var(id), sort)
@@ -125,14 +227,41 @@ impl Context {
     }
 
     fn intern(&mut self, data: TermData, sort: Sort) -> TermId {
-        if let Some(&id) = self.cons.get(&data) {
-            return id;
+        let hash = term_hash(&data);
+        let terms = &self.terms;
+        match self.cons.find(hash, |id| terms[id.index()] == data) {
+            Ok(id) => id,
+            Err(slot) => self.push(slot, hash, data, sort),
         }
+    }
+
+    fn push(&mut self, slot: usize, hash: u32, data: TermData, sort: Sort) -> TermId {
         let id = TermId(self.terms.len() as u32);
-        self.terms.push(data.clone());
+        self.cons.fill(slot, hash, id);
+        self.terms.push(data);
         self.sorts.push(sort);
-        self.cons.insert(data, id);
         id
+    }
+
+    /// Interns the `And`/`Or` node over `self.scratch` (sorted, deduplicated,
+    /// at least two children), allocating its child list only when the
+    /// node is new.
+    fn intern_nary(&mut self, tag: u32) -> TermId {
+        let hash = cons_hash(tag, 0, &self.scratch);
+        let (terms, xs) = (&self.terms, &self.scratch);
+        let found = self.cons.find(hash, |id| match &terms[id.index()] {
+            TermData::And(ys) => tag == TAG_AND && ys == xs,
+            TermData::Or(ys) => tag == TAG_OR && ys == xs,
+            _ => false,
+        });
+        match found {
+            Ok(id) => id,
+            Err(slot) => {
+                let xs = self.scratch.clone();
+                let data = if tag == TAG_AND { TermData::And(xs) } else { TermData::Or(xs) };
+                self.push(slot, hash, data, Sort::Bool)
+            }
+        }
     }
 
     /// Boolean constant.
@@ -161,11 +290,12 @@ impl Context {
     ///
     /// Panics on arity or sort mismatch.
     pub fn app(&mut self, f: FuncId, args: Vec<TermId>) -> TermId {
-        let (_, arg_sorts, ret) = self.func_sigs[f.0 as usize].clone();
+        let (_, arg_sorts, ret) = &self.func_sigs[f.0 as usize];
         assert_eq!(args.len(), arg_sorts.len(), "arity mismatch");
-        for (a, s) in args.iter().zip(&arg_sorts) {
-            assert_eq!(self.sort(*a), *s, "argument sort mismatch");
+        for (a, s) in args.iter().zip(arg_sorts) {
+            assert_eq!(self.sorts[a.index()], *s, "argument sort mismatch");
         }
+        let ret = *ret;
         self.intern(TermData::App(f, args), ret)
     }
 
@@ -235,41 +365,40 @@ impl Context {
 
     /// Conjunction.
     pub fn and(&mut self, xs: impl IntoIterator<Item = TermId>) -> TermId {
-        let mut out = Vec::new();
-        for x in xs {
-            match self.data(x) {
-                TermData::BoolConst(true) => {}
-                TermData::BoolConst(false) => return self.fls(),
-                TermData::And(inner) => out.extend(inner.iter().copied()),
-                _ => out.push(x),
-            }
-        }
-        out.sort();
-        out.dedup();
-        match out.len() {
-            0 => self.tru(),
-            1 => out[0],
-            _ => self.intern(TermData::And(out), Sort::Bool),
-        }
+        self.nary(TAG_AND, xs)
     }
 
     /// Disjunction.
     pub fn or(&mut self, xs: impl IntoIterator<Item = TermId>) -> TermId {
-        let mut out = Vec::new();
+        self.nary(TAG_OR, xs)
+    }
+
+    /// `And` (`tag == TAG_AND`) or `Or` of `xs`: flattens nested nodes of
+    /// the same kind, drops the neutral constant, short-circuits on the
+    /// absorbing one, and sorts and deduplicates the children.
+    fn nary(&mut self, tag: u32, xs: impl IntoIterator<Item = TermId>) -> TermId {
+        let neutral = tag == TAG_AND;
+        let mut out = std::mem::take(&mut self.scratch);
+        out.clear();
         for x in xs {
-            match self.data(x) {
-                TermData::BoolConst(false) => {}
-                TermData::BoolConst(true) => return self.tru(),
-                TermData::Or(inner) => out.extend(inner.iter().copied()),
+            match &self.terms[x.index()] {
+                TermData::BoolConst(b) if *b == neutral => {}
+                TermData::BoolConst(_) => {
+                    self.scratch = out;
+                    return self.bool_const(!neutral);
+                }
+                TermData::And(inner) if neutral => out.extend_from_slice(inner),
+                TermData::Or(inner) if !neutral => out.extend_from_slice(inner),
                 _ => out.push(x),
             }
         }
-        out.sort();
+        out.sort_unstable();
         out.dedup();
-        match out.len() {
-            0 => self.fls(),
-            1 => out[0],
-            _ => self.intern(TermData::Or(out), Sort::Bool),
+        self.scratch = out;
+        match self.scratch.len() {
+            0 => self.bool_const(neutral),
+            1 => self.scratch[0],
+            _ => self.intern_nary(tag),
         }
     }
 
