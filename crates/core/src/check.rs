@@ -363,7 +363,6 @@ struct WorkerLocal {
     sat_resolves: usize,
     learnt_clauses: usize,
     ssg_filter: Duration,
-    smt: Duration,
     encoder_build: Duration,
     query_solve: Duration,
     validate: Duration,
@@ -563,7 +562,6 @@ impl Checker {
             let dt = t0.elapsed();
             q.set_arg(if sat { c4_obs::tag::SAT } else { c4_obs::tag::UNSAT });
             drop(q);
-            local.smt += dt;
             local.query_solve += dt;
             local.queries += 1;
             local.assumption_solves += 1;
@@ -581,7 +579,6 @@ impl Checker {
         q.set_arg(if model.is_some() { c4_obs::tag::SAT } else { c4_obs::tag::UNSAT });
         drop(q);
         local.query_solve += t1.elapsed();
-        local.smt += t0.elapsed();
         local.queries += 1;
         match model {
             None => CandOutcome::Refuted,
@@ -699,9 +696,7 @@ impl Checker {
             *q += local.queries;
         }
         result.stats.timings.ssg_filter += local.ssg_filter;
-        result.stats.timings.smt += local.smt;
-        result.stats.timings.encoder_build += local.encoder_build;
-        result.stats.timings.query_solve += local.query_solve;
+        result.stats.timings.add_smt(local.encoder_build, local.query_solve);
         result.stats.timings.validate += local.validate;
     }
 
@@ -761,7 +756,6 @@ impl Checker {
                 shared = Some(crate::encode::CycleEncoder::new(u, &self.far, &self.features));
                 let dt = t0.elapsed();
                 local.encoder_build += dt;
-                local.smt += dt;
                 let t1 = Instant::now();
                 let _probe = c4_obs::span_arg("smt_query", c4_obs::tag::PROBE);
                 let sat = shared
@@ -770,7 +764,6 @@ impl Checker {
                     .check_shared_any(&pending);
                 drop(_probe);
                 let dt = t1.elapsed();
-                local.smt += dt;
                 local.query_solve += dt;
                 local.queries += 1;
                 local.assumption_solves += 1;
@@ -796,7 +789,6 @@ impl Checker {
                 shared = Some(crate::encode::CycleEncoder::new(u, &self.far, &self.features));
                 let dt = t0.elapsed();
                 local.encoder_build += dt;
-                local.smt += dt;
             }
             result.stats.smt_queries += 1;
             let labels = cand.steps.iter().map(|s| s.label).collect();
@@ -968,7 +960,6 @@ impl Checker {
                     Some(crate::encode::CycleEncoder::new(&u, &self.far, &self.features));
                 let dt = t0.elapsed();
                 local.encoder_build += dt;
-                local.smt += dt;
                 let t1 = Instant::now();
                 let _probe = c4_obs::span_arg("smt_query", c4_obs::tag::PROBE);
                 let sat = shared
@@ -977,7 +968,6 @@ impl Checker {
                     .check_shared_any(&pending);
                 drop(_probe);
                 let dt = t1.elapsed();
-                local.smt += dt;
                 local.query_solve += dt;
                 local.queries += 1;
                 local.assumption_solves += 1;
@@ -1010,7 +1000,6 @@ impl Checker {
                         Some(crate::encode::CycleEncoder::new(&u, &self.far, &self.features));
                     let dt = t0.elapsed();
                     local.encoder_build += dt;
-                    local.smt += dt;
                 }
                 self.solve_candidate(&u, &cand, shared.as_mut(), local)
             };
@@ -1035,9 +1024,7 @@ impl Checker {
         let mut local = WorkerLocal::default();
         let o = self.solve_candidate(u, cand, None, &mut local);
         result.stats.speculative_smt_queries += local.queries;
-        result.stats.timings.smt += local.smt;
-        result.stats.timings.encoder_build += local.encoder_build;
-        result.stats.timings.query_solve += local.query_solve;
+        result.stats.timings.add_smt(local.encoder_build, local.query_solve);
         result.stats.timings.validate += local.validate;
         o
     }
@@ -1396,9 +1383,7 @@ impl Checker {
                 *q += local.queries;
             }
             result.stats.timings.ssg_filter += local.ssg_filter;
-            result.stats.timings.smt += local.smt;
-            result.stats.timings.encoder_build += local.encoder_build;
-            result.stats.timings.query_solve += local.query_solve;
+            result.stats.timings.add_smt(local.encoder_build, local.query_solve);
             result.stats.timings.validate += local.validate;
         }
     }
@@ -1491,6 +1476,8 @@ impl Checker {
                     let t0 = Instant::now();
                     let mut enc =
                         crate::encode::CycleEncoder::new(&u, &self.far, &features);
+                    let build = t0.elapsed();
+                    let t1 = Instant::now();
                     enc.assert_some_dependency(0, 1);
                     enc.assert_step(m_last_idx, t3_idx, SsgLabel::Anti);
                     enc.assert_mirror(ghost_idx, m_last_idx);
@@ -1499,7 +1486,7 @@ impl Checker {
                     let sat = enc.solve().is_some();
                     q.set_arg(if sat { c4_obs::tag::SAT } else { c4_obs::tag::UNSAT });
                     drop(q);
-                    stats.timings.smt += t0.elapsed();
+                    stats.timings.add_smt(build, t1.elapsed());
                     if sat {
                         // Some model of the segment admits no short-cut.
                         return false;

@@ -45,7 +45,9 @@ pub struct StageTimings {
     pub unfold: Duration,
     /// SC1 pre-filter, SSG construction, and candidate-cycle enumeration.
     pub ssg_filter: Duration,
-    /// SMT encoding and solving (bounded search plus generalization).
+    /// SMT encoding and solving (bounded search plus generalization):
+    /// exactly `encoder_build + query_solve`, never clocked on its own
+    /// (see [`StageTimings::add_smt`]).
     pub smt: Duration,
     /// Counter-example decoding, concrete validation, and rendering.
     pub validate: Duration,
@@ -62,6 +64,14 @@ pub struct StageTimings {
 }
 
 impl StageTimings {
+    /// Adds SMT time, split into encoder build and query solve; the
+    /// `smt` total is their sum by construction.
+    pub fn add_smt(&mut self, encoder_build: Duration, query_solve: Duration) {
+        self.encoder_build += encoder_build;
+        self.query_solve += query_solve;
+        self.smt += encoder_build + query_solve;
+    }
+
     /// Accumulates another timing record into this one.
     pub fn absorb(&mut self, other: &StageTimings) {
         self.unfold += other.unfold;

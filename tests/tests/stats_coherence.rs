@@ -129,7 +129,8 @@ fn stats_are_coherent_and_replay_counters_agree() {
 
 /// Stage timings are populated: a run that issued SMT queries has
 /// non-zero unfold and SMT clocks, and only parallel runs charge merge
-/// time.
+/// time. The SMT total is exactly its encoder-build plus query-solve
+/// split, generalization queries included (Super Chat issues 50).
 #[test]
 fn stage_timings_are_populated() {
     let b = c4_suite::benchmark("Super Chat").expect("exists");
@@ -144,6 +145,11 @@ fn stage_timings_are_populated() {
         let t = &res.stats.timings;
         assert!(!t.unfold.is_zero(), "{label}: unfold stage unclocked");
         assert!(!t.smt.is_zero(), "{label}: smt stage unclocked");
+        assert_eq!(
+            t.smt,
+            t.encoder_build + t.query_solve,
+            "{label}: smt must be exactly encoder build + query solve"
+        );
         assert!(!t.ssg_filter.is_zero(), "{label}: filter stage unclocked");
     }
     assert!(seq.stats.timings.merge.is_zero(), "sequential runs have no merge phase");
