@@ -312,6 +312,11 @@ fn full_backend_queue_surfaces_as_typed_retry_after_through_the_gateway() {
     let mut big = c4_suite::benchmarks();
     big.sort_by_key(|b| std::cmp::Reverse(b.paper.t * b.paper.e));
     let b1 = direct.submit(big[0].source, &features(1)).expect("blocker 1");
+    // The 1-slot queue holds blocker 1 until the worker claims it; a
+    // second submission before that is (correctly) answered Busy.
+    poll_until(Duration::from_secs(30), "blocker 1 to start", || {
+        (direct.stats().expect("backend stats").running == 1).then_some(())
+    });
     let b2 = direct.submit(big[1].source, &features(1)).expect("blocker 2");
     poll_until(Duration::from_secs(30), "backend queue to fill", || {
         let s = direct.stats().expect("backend stats");
